@@ -133,7 +133,10 @@ class TimeSeriesSampler:
     def __init__(self, interval_s: float = 0.05, capacity: int = 4096) -> None:
         self.interval_s = interval_s
         self.rows: Deque[Dict] = deque(maxlen=capacity)
-        self._last_sample = 0.0
+        # "never sampled": time.monotonic() has an arbitrary origin (host
+        # uptime on Linux), so seeding 0.0 would swallow the first row
+        # whenever the clock still reads below ``interval_s``.
+        self._last_sample = float("-inf")
         self._heap_via_tracemalloc = tracemalloc.is_tracing()
 
     def maybe_sample(self, channels=(), operators=()) -> Optional[Dict]:

@@ -53,6 +53,7 @@ stop every other worker immediately and re-raise the *first* failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import pickle
 import selectors
@@ -240,9 +241,10 @@ class _DataListener:
 class _WorkerSession:
     """One coordinator-to-worker session: plan, wire, run, ship the result."""
 
-    def __init__(self, control: socket.socket, host: str) -> None:
+    def __init__(self, control: socket.socket, host: str, collect_after: bool = False) -> None:
         self._control = control
         self._host = host
+        self._collect_after = collect_after
         self._decoder = FrameDecoder("worker-control")
         self._instance: Optional[SPEInstance] = None
         self._listener: Optional[_DataListener] = None
@@ -276,7 +278,25 @@ class _WorkerSession:
             except OSError:  # coordinator already gone
                 pass
         finally:
+            if self._collect_after:
+                self._await_hangup()
             self.close()
+            if self._collect_after:
+                gc.collect()
+
+    def _await_hangup(self) -> None:
+        """Block until the coordinator closes the control connection.
+
+        The coordinator hangs up once every worker of the run has reported,
+        so a collection started afterwards cannot steal CPU from a sibling
+        worker still finishing its part of the run.
+        """
+        try:
+            self._control.settimeout(_WIRE_TIMEOUT_S)
+            while self._control.recv(1 << 16):
+                pass
+        except OSError:  # timeout, reset or already closed: stop waiting
+            pass
 
     def _expect(self, expected: str):
         message = _recv_control(self._control, self._decoder)
@@ -429,6 +449,9 @@ class _WorkerSession:
         )
 
     def close(self) -> None:
+        # Drop the plan: the worker's accept loop keeps a reference to the
+        # last session object until the next coordinator connects.
+        self._instance = None
         if self._listener is not None:
             self._listener.close()
         for sock in self._producer_socks + self._consumer_socks:
@@ -454,6 +477,13 @@ class ClusterWorker:
     several instances of one run -- or several runs.  Start it standalone
     with ``python -m repro.spe.cluster --serve host:port``, or in-process
     via :meth:`start` (what ``hosts=None`` does for every instance).
+
+    A standalone daemon owns its process, so it frees each finished plan
+    with a full collection once the coordinator hangs up:
+    :func:`~repro.spe.plan.deserialize_plan` pauses the collector and a
+    plan's operator graph is cyclic, so without it finished plans would
+    pile up from run to run.  An in-process worker shares its caller's
+    heap and leaves collection to the caller.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -462,6 +492,8 @@ class ClusterWorker:
         self._port = self._listener.getsockname()[1]
         self._closed = False
         self._thread: Optional[threading.Thread] = None
+        #: set by :func:`main` only: collect garbage after every session.
+        self._collect_after_session = False
 
     @property
     def address(self) -> Address:
@@ -475,7 +507,7 @@ class ClusterWorker:
             except OSError:  # listener closed
                 return
             control.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            session = _WorkerSession(control, self._host)
+            session = _WorkerSession(control, self._host, self._collect_after_session)
             threading.Thread(
                 target=session.run,
                 name=f"spe-session-{self._port}",
@@ -955,6 +987,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         force=True,
     )
     worker = ClusterWorker(host, port)
+    worker._collect_after_session = True
     bound_host, bound_port = worker.address
     logger.info("cluster worker serving on %s:%d", bound_host, bound_port)
     try:

@@ -36,11 +36,33 @@ Functions importable by qualified name still travel by reference (smaller,
 and the worker's copy of library code wins), with one exception: anything
 living in ``__main__``, whose namespace differs between coordinator and
 daemon, goes by value too.
+
+Plans are tuple-heavy: a source supplier closing over its input list ships
+every :class:`~repro.spe.tuples.StreamTuple` inside the plan, so two costs
+that are noise for an ordinary object graph dominate here:
+
+* **per-tuple reduction** -- :class:`_PlanPickler` reduces a ``StreamTuple``
+  itself, in the one ``reducer_override`` call pickle makes anyway, instead
+  of declining and letting :mod:`copyreg` build a slot-state dict.  The
+  reduce has the state form (:func:`_new_tuple` builds an empty tuple,
+  :func:`_set_tuple_state` applies ``(ts, values, meta, wall, order_key)``),
+  so a tuple is memoised before its state is pickled: shared tuples stay
+  shared and ``meta`` cycles round-trip.  The encoding differs from format
+  1, hence ``PLAN_FORMAT_VERSION = 2``.
+* **cyclic GC** -- unpickling hundreds of thousands of containers with the
+  collector on triggers repeated full collections that find nothing to free.
+  :func:`serialize_plan` and :func:`deserialize_plan` pause it and restore
+  the caller's state afterwards, also on error.  The pause is counted, so
+  concurrent (de)serialisations on several threads -- a worker daemon runs
+  one session per thread -- still end with the collector enabled, and a
+  caller that had disabled it finds it disabled.
 """
 
 from __future__ import annotations
 
 import builtins
+import contextlib
+import gc
 import importlib
 import io
 import marshal
@@ -48,12 +70,13 @@ import pickle
 import sys
 import threading
 import types
-from typing import Dict, List, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.spe.errors import SerializationError
+from repro.spe.tuples import StreamTuple
 
-#: bumped when the by-value function encoding changes shape.
-PLAN_FORMAT_VERSION = 1
+#: bumped when the plan encoding changes shape (2: StreamTuple state reduce).
+PLAN_FORMAT_VERSION = 2
 
 #: pickle protocol for plans (5 carries the 6-element reduce everywhere we run).
 _PLAN_PICKLE_PROTOCOL = 5
@@ -67,7 +90,7 @@ def plan_version() -> List[int]:
     return [sys.version_info[0], sys.version_info[1], PLAN_FORMAT_VERSION]
 
 
-def check_plan_version(version) -> None:
+def check_plan_version(version: Optional[Sequence[int]]) -> None:
     """Reject a plan produced by an incompatible coordinator.
 
     :mod:`marshal` bytecode does not survive a Python feature-release
@@ -83,7 +106,7 @@ def check_plan_version(version) -> None:
 
 # -- by-value function shipping ---------------------------------------------
 
-def _referenced_globals(code: types.CodeType) -> set:
+def _referenced_globals(code: types.CodeType) -> Set[str]:
     """Every global name ``code`` (or a function nested in it) may load."""
     names = set(code.co_names)
     for const in code.co_consts:
@@ -103,7 +126,7 @@ def _importable_by_name(func: types.FunctionType) -> bool:
     module = sys.modules.get(module_name)
     if module is None:
         return False
-    obj = module
+    obj: object = module
     for part in qualname.split("."):
         obj = getattr(obj, part, None)
         if obj is None:
@@ -130,7 +153,7 @@ def _make_function_skeleton(
     return func
 
 
-def _set_function_state(func: types.FunctionType, state: Dict) -> None:
+def _set_function_state(func: types.FunctionType, state: Dict[str, Any]) -> None:
     """Second phase of the rebuild: install globals, cells, defaults, attrs."""
     func.__globals__.update(state["globals"])
     func.__defaults__ = state["defaults"]
@@ -141,7 +164,7 @@ def _set_function_state(func: types.FunctionType, state: Dict) -> None:
     func.__dict__.update(state["dict"])
 
 
-def _reduce_function_by_value(func: types.FunctionType) -> Tuple:
+def _reduce_function_by_value(func: types.FunctionType) -> Tuple[Any, ...]:
     code = func.__code__
     func_globals = func.__globals__
     shipped_globals = {
@@ -178,10 +201,36 @@ def _reduce_function_by_value(func: types.FunctionType) -> Tuple:
     )
 
 
-class _PlanPickler(pickle.Pickler):
-    """Pickler that additionally ships closures, locks and modules."""
+# -- stream tuples ----------------------------------------------------------
 
-    def reducer_override(self, obj):
+def _new_tuple() -> StreamTuple:
+    """First phase of a shipped tuple's rebuild: an empty, memoisable shell."""
+    return StreamTuple.__new__(StreamTuple)
+
+
+def _set_tuple_state(tup: StreamTuple, state: Tuple[Any, Any, Any, Any, Any]) -> None:
+    """Second phase: install ``(ts, values, meta, wall, order_key)``."""
+    tup.ts, tup.values, tup.meta, tup.wall, tup.order_key = state
+
+
+class _PlanPickler(pickle.Pickler):
+    """Pickler that additionally ships closures, locks and modules.
+
+    Pickle consults :meth:`reducer_override` for every non-builtin object,
+    and plans hold far more stream tuples than anything else, so the tuple
+    test comes first and answers with a complete reduce.
+    """
+
+    def reducer_override(self, obj: Any) -> Any:
+        if type(obj) is StreamTuple:
+            return (
+                _new_tuple,
+                (),
+                (obj.ts, obj.values, obj.meta, obj.wall, obj.order_key),
+                None,
+                None,
+                _set_tuple_state,
+            )
         if isinstance(obj, types.FunctionType):
             if _importable_by_name(obj):
                 return NotImplemented  # by reference, the normal way
@@ -195,19 +244,53 @@ class _PlanPickler(pickle.Pickler):
         return NotImplemented
 
 
-def serialize_plan(obj) -> bytes:
+# -- the GC pause -----------------------------------------------------------
+
+_gc_lock = threading.Lock()
+#: (de)serialisations currently running, on any thread.
+_gc_pauses = 0
+#: whether the collector was enabled when the first running pause began.
+_gc_was_enabled = False
+
+
+@contextlib.contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Keep the cyclic collector off while the block runs.
+
+    The collector is process-wide, so the pause is too: the first of
+    several overlapping pauses records the caller's setting and the last
+    one to finish restores it.
+    """
+    global _gc_pauses, _gc_was_enabled
+    with _gc_lock:
+        if _gc_pauses == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_pauses += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_pauses -= 1
+            if _gc_pauses == 0 and _gc_was_enabled:
+                gc.enable()
+
+
+def serialize_plan(obj: Any) -> bytes:
     """Serialise a lowered plan (or any value) for shipping to a worker."""
     buffer = io.BytesIO()
     try:
-        _PlanPickler(buffer, protocol=_PLAN_PICKLE_PROTOCOL).dump(obj)
+        with _gc_paused():
+            _PlanPickler(buffer, protocol=_PLAN_PICKLE_PROTOCOL).dump(obj)
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         raise SerializationError(f"cannot serialise the plan: {exc}") from exc
     return buffer.getvalue()
 
 
-def deserialize_plan(data: bytes):
+def deserialize_plan(data: bytes) -> Any:
     """Inverse of :func:`serialize_plan` (call :func:`check_plan_version` first)."""
     try:
-        return pickle.loads(data)
+        with _gc_paused():
+            return pickle.loads(data)
     except Exception as exc:
         raise SerializationError(f"cannot deserialise the plan: {exc}") from exc

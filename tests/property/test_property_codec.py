@@ -72,6 +72,33 @@ batches = st.lists(
     max_size=4,
 )
 
+#: a smaller stream for tests that draw two per example: shallower documents
+#: and fewer, shorter batches keep one draw well inside Hypothesis's
+#: ``too_slow`` health-check budget (the full ``batches`` pair took 0.1-0.3 s).
+small_documents = st.dictionaries(
+    st.text(max_size=8),
+    json_scalars
+    | st.lists(json_scalars, max_size=3)
+    | st.dictionaries(st.text(max_size=6), json_scalars, max_size=3),
+    max_size=3,
+)
+small_batches = st.lists(
+    st.lists(
+        st.tuples(
+            st.builds(
+                lambda ts, values: StreamTuple(ts=ts, values=values),
+                st.integers(0, 1000) | st.floats(0, 1e9),
+                small_documents,
+            ),
+            st.one_of(st.just({}), genealog_payloads, small_documents),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=3,
+)
+
 
 def typed(value):
     """Value annotated with its type, recursively: 1 != 1.0 != True here."""
@@ -168,7 +195,7 @@ class TestVarints:
 
 
 class TestDictionaryReset:
-    @given(batches, batches)
+    @given(small_batches, small_batches)
     @settings(max_examples=40)
     def test_reset_on_both_ends_keeps_the_stream_decodable(self, first, second):
         """A reconnect resets encoder and decoder together: still lossless."""

@@ -237,7 +237,10 @@ class TestJsonlExporter:
 
 
 class TestTimeSeriesSampler:
-    def test_maybe_sample_is_throttled(self):
+    def test_maybe_sample_is_throttled(self, monkeypatch):
+        # A monotonic clock still below the interval (a freshly booted host)
+        # must not swallow the first row.
+        monkeypatch.setattr("repro.obs.metrics.time.monotonic", lambda: 5.0)
         sampler = TimeSeriesSampler(interval_s=3600.0)
         assert sampler.maybe_sample() is not None  # first row always lands
         assert sampler.maybe_sample() is None  # within the interval
